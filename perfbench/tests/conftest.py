@@ -1,0 +1,11 @@
+"""Make the benchmark's modules and the program importable in tests.
+
+Run with ``python3 -m pytest perfbench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent.parent / "src"))
+sys.path.insert(0, str(HERE.parent))
