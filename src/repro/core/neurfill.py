@@ -74,8 +74,9 @@ class NeurFill:
           beats the starting point — a guard against surrogate error at
           reduced training budgets (see EXPERIMENTS.md).
 
-        Total extra cost: ``num_candidates + 2`` simulator invocations,
-        i.e. ~1e-4 of one finite-difference gradient.
+        Total extra cost: ``num_candidates + 1`` simulator invocations,
+        i.e. ~1e-4 of one finite-difference gradient (the guard reuses
+        the starting point's score from the ranking).
         """
         t0 = time.perf_counter()
         start_evals = self.model.evaluations
@@ -87,7 +88,9 @@ class NeurFill:
         outcome = msp_sqp(self.model, [pkb.fill], self.optimizer)
         best_fill = outcome.best_fill
         if self.simulator is not None:
-            if self._simulator_quality(best_fill) < self._simulator_quality(pkb.fill):
+            # The selector was the simulator, so pkb.quality already is
+            # its score of pkb.fill.
+            if self._simulator_quality(best_fill) < pkb.quality:
                 best_fill = pkb.fill
         final = self.model.evaluate(best_fill, want_grad=False)
         return FillResult(

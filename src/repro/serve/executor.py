@@ -25,6 +25,7 @@ layout could be evicted while cold ones survived.)
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -296,9 +297,13 @@ class JobExecutor:
                               max_sqp_iterations=3)
         else:
             model_name = params.get("model")
+            membership = contextlib.nullcontext()
             if model_name is not None:
                 network, bound_model = self._coalesced_network(
                     str(model_name), layout, fingerprint)
+                # Registered for the whole refinement, so its batcher
+                # flushes as soon as no registered fill is still running.
+                membership = network.member()
             else:
                 if not self.allow_train:
                     raise ValueError(
@@ -319,12 +324,13 @@ class JobExecutor:
                 optimizer=SqpOptimizer(max_iter=80, tol=1e-9),
                 simulator=self.simulator,
             )
-            result = neurfill.run(
-                method,
-                seed=int(params.get("seed", 0)),
-                max_evaluations=int(params.get("max_evaluations", 500)),
-                top_k=int(params.get("top_k", 3)),
-            )
+            with membership:
+                result = neurfill.run(
+                    method,
+                    seed=int(params.get("seed", 0)),
+                    max_evaluations=int(params.get("max_evaluations", 500)),
+                    top_k=int(params.get("top_k", 3)),
+                )
         self._remember_solution(fingerprint, layout, result)
         payload = {
             "method": result.method,
@@ -468,17 +474,21 @@ class JobExecutor:
         return payload
 
     def _simulate_job(self, params: dict) -> dict:
-        layout, _ = self._load_layout(params)
-        simulator = self.simulator
-        polish_time = params.get("polish_time")
-        if polish_time:
-            from ..cmp import ProcessParams
-            simulator = CmpSimulator(
-                ProcessParams(polish_time_s=float(polish_time)))
-        # Route through the simulate coalescer: concurrent simulate jobs
-        # sharing this physics and grid polish as one batched pass,
-        # bitwise identical to simulate_layout.
-        result = self._sim_batcher.simulate(apply_fill(layout), simulator)
+        # Registered until its one simulation returns: a parked group
+        # waits for this job only while it could still join.
+        with self._sim_batcher.member():
+            layout, _ = self._load_layout(params)
+            simulator = self.simulator
+            polish_time = params.get("polish_time")
+            if polish_time:
+                from ..cmp import ProcessParams
+                simulator = CmpSimulator(
+                    ProcessParams(polish_time_s=float(polish_time)))
+            # Route through the simulate coalescer: concurrent simulate
+            # jobs sharing this physics and grid polish as one batched
+            # pass, bitwise identical to simulate_layout.
+            result = self._sim_batcher.simulate(apply_fill(layout),
+                                                simulator)
         delta_h, sigma, line, outliers = planarity_metrics(result.height)
         return {
             "layout": layout.name,

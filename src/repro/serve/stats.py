@@ -35,6 +35,9 @@ BATCH_HISTOGRAM = "batch_size"
 #: Histogram name of coalesced simulate-job batch sizes.
 SIM_BATCH_HISTOGRAM = "sim_batch_size"
 
+#: Batcher kind -> its batch-size histogram name.
+_FLUSH_HISTOGRAMS = {"batch": BATCH_HISTOGRAM, "sim": SIM_BATCH_HISTOGRAM}
+
 
 class ServeStats:
     """Thread-safe event sink shared by queue, batcher and workers."""
@@ -61,9 +64,13 @@ class ServeStats:
         """One micro-batch of ``size`` coalesced evaluations was flushed."""
         self._registry.observe(BATCH_HISTOGRAM, int(size))
 
-    def record_sim_batch(self, size: int) -> None:
-        """One batch of ``size`` coalesced simulate jobs was polished."""
-        self._registry.observe(SIM_BATCH_HISTOGRAM, int(size))
+    def record_flush(self, kind: str, size: int, reason: str) -> None:
+        """A ``kind`` batcher (``"batch"`` or ``"sim"``) flushed a group
+        of ``size`` requests for ``reason`` (``"full"``, ``"idle"``,
+        ``"deadline"`` or ``"closing"``; see :mod:`repro.serve.batcher`),
+        counted as ``<kind>_flush_<reason>``."""
+        self._registry.observe(_FLUSH_HISTOGRAMS[kind], int(size))
+        self._registry.incr(f"{kind}_flush_{reason}")
 
     def record_latency(self, stage: str, seconds: float) -> None:
         if stage not in self.STAGES:

@@ -107,6 +107,39 @@ class TestNeurFill:
                                     simulator=simulator).quality
         assert final_q >= start.quality - 1e-9
 
+    def test_pkb_guard_reuses_start_score(self, small_problem,
+                                          trained_surrogate):
+        """The refine-vs-start guard takes the starting point's simulator
+        score from the PKB ranking instead of simulating it again, and
+        returns bitwise the fill the two-simulation guard picks."""
+        from repro.cmp import CmpSimulator
+        from repro.core import evaluate_solution
+        from repro.core.pkb import pkb_starting_point
+
+        class CountingSimulator(CmpSimulator):
+            calls = 0
+
+            def simulate_layout(self, *args, **kwargs):
+                CountingSimulator.calls += 1
+                return super().simulate_layout(*args, **kwargs)
+
+        optimizer = SqpOptimizer(max_iter=25, tol=1e-9)
+        spy = CountingSimulator()
+        result = NeurFill(small_problem, trained_surrogate,
+                          optimizer=optimizer, simulator=spy).run_pkb(5)
+        assert CountingSimulator.calls == 5 + 1
+
+        def simulated(fill):
+            return evaluate_solution(small_problem, fill, "probe",
+                                     simulator=CmpSimulator()).quality
+
+        start = pkb_starting_point(small_problem.layout, simulated, 5)
+        model = QualityModel(small_problem, trained_surrogate)
+        expected = msp_sqp(model, [start.fill], optimizer).best_fill
+        if simulated(expected) < simulated(start.fill):
+            expected = start.fill
+        np.testing.assert_array_equal(result.fill, expected)
+
     def test_multimodal_run(self, neurfill, small_problem):
         result = neurfill.run_multimodal(max_evaluations=120, top_k=2, seed=0)
         assert result.method == "neurfill-mm"

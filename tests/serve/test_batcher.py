@@ -5,10 +5,13 @@ The fidelity contract under test (DESIGN.md "Serving"):
 * a coalesced group of K requests returns **bitwise** what
   ``evaluate_batch`` returns for those K fills stacked;
 * a singleton flush is bitwise-identical to sequential ``evaluate``;
-* for K > 1 the repo-wide batched contract applies (≤ 1e-10 vs
-  sequential, BLAS contraction order at the last ulp).
+* for K > 1 rows match sequential ``evaluate`` (bitwise on these
+  sub-``CALIBRATE_MIN_CELLS`` grids; checked here to 1e-10);
+* a job registered with ``member()`` never waits out the flush window
+  once no other registered job is still running.
 """
 
+import sys
 import threading
 import time
 
@@ -205,3 +208,215 @@ class TestCoalescedNetwork:
         reference = trained_surrogate.evaluate(fills[0], WEIGHTS)
         assert ev.s_plan == reference.s_plan
         batcher.close()
+
+
+def run_members(batcher, jobs):
+    """Run each ``job(batcher)`` on its own thread, registered with the
+    batcher; all register before any starts.  Returns (results, errors)."""
+    barrier = threading.Barrier(len(jobs))
+    results = [None] * len(jobs)
+    errors = [None] * len(jobs)
+
+    def worker(k):
+        try:
+            with batcher.member():
+                barrier.wait()
+                results[k] = jobs[k](batcher)
+        except BaseException as exc:  # surfaced by the caller
+            errors[k] = exc
+
+    threads = [threading.Thread(target=worker, args=(k,))
+               for k in range(len(jobs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    return results, errors
+
+
+class TestWorkConserving:
+    """A group flushes as soon as no registered job is still running;
+    the (30 s) window only caps the wait for a running peer."""
+
+    def test_lone_member_flushes_at_once(self, trained_surrogate, fills):
+        stats = ServeStats()
+        batcher = MicroBatcher(trained_surrogate, max_batch=16,
+                               max_delay_s=30.0, stats=stats)
+        try:
+            t0 = time.monotonic()
+            with batcher.member():
+                got = batcher.evaluate(fills[0], WEIGHTS)
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert elapsed < 10.0
+        reference = trained_surrogate.evaluate(fills[0], WEIGHTS)
+        assert got.s_plan == reference.s_plan
+        assert np.array_equal(got.gradient, reference.gradient)
+        assert stats.snapshot()["counters"]["batch_flush_idle"] == 1
+
+    def test_two_members_coalesce(self, trained_surrogate, fills):
+        """The first member to park waits for the running one, then both
+        flush as one K=2 group, bitwise the rows of ``evaluate_batch``."""
+        stats = ServeStats()
+        batcher = MicroBatcher(trained_surrogate, max_batch=16,
+                               max_delay_s=30.0, stats=stats)
+        try:
+            t0 = time.monotonic()
+            got, errors = run_members(batcher, [
+                lambda b, f=f: b.evaluate(f, WEIGHTS) for f in fills[:2]])
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert errors == [None, None]
+        assert elapsed < 10.0
+        snapshot = stats.snapshot()
+        assert snapshot["batch_histogram"] == {"2": 1}
+        assert snapshot["counters"]["batch_flush_idle"] == 1
+        reference = trained_surrogate.evaluate_batch(np.stack(fills[:2]),
+                                                     WEIGHTS)
+        for k, ev in enumerate(got):
+            assert ev.s_plan == float(reference.s_plan[k])
+            assert np.array_equal(ev.heights, reference.heights[k])
+            assert np.array_equal(ev.gradient, reference.gradient[k])
+
+    def test_failed_member_releases_registration(self, trained_surrogate,
+                                                 fills):
+        """A member whose evaluation raises still unregisters, so the
+        next lone member flushes at once."""
+        class Flaky:
+            def evaluate_batch(self, fills, weights, grad_mask=None):
+                if np.isnan(fills).any():
+                    raise RuntimeError("boom")
+                return trained_surrogate.evaluate_batch(
+                    fills, weights, grad_mask=grad_mask)
+
+        batcher = MicroBatcher(Flaky(), max_batch=16, max_delay_s=30.0)
+        try:
+            bad = np.full_like(fills[0], np.nan)
+            _, errors = run_members(batcher, [
+                lambda b: b.evaluate(bad, WEIGHTS)])
+            assert isinstance(errors[0], RuntimeError)
+            t0 = time.monotonic()
+            got, errors = run_members(batcher, [
+                lambda b: b.evaluate(fills[0], WEIGHTS)])
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert errors == [None]
+        assert elapsed < 10.0
+        assert got[0].s_plan == trained_surrogate.evaluate(
+            fills[0], WEIGHTS).s_plan
+
+    def test_member_leaving_unparks_the_group(self, trained_surrogate, fills):
+        """A parked member waits for a registered peer only while that
+        peer runs: the peer's exit (here by raising) flushes the group."""
+        batcher = MicroBatcher(trained_surrogate, max_batch=16,
+                               max_delay_s=30.0)
+
+        def leave(b):
+            deadline = time.monotonic() + 30
+            while not b._pending and time.monotonic() < deadline:
+                time.sleep(0.001)  # wait until the peer has parked
+            raise RuntimeError("job failed before evaluating")
+
+        try:
+            t0 = time.monotonic()
+            got, errors = run_members(batcher, [
+                lambda b: b.evaluate(fills[0], WEIGHTS), leave])
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert errors[0] is None and isinstance(errors[1], RuntimeError)
+        assert elapsed < 10.0
+        assert got[0].s_plan == trained_surrogate.evaluate(
+            fills[0], WEIGHTS).s_plan
+
+    def test_many_members_stress(self, trained_surrogate, fills):
+        """More registered jobs than cores, each evaluating repeatedly
+        under rapid thread switching: a lost update to the registration
+        counts would park someone for the 30 s window or leave counts
+        behind."""
+        stats = ServeStats()
+        batcher = MicroBatcher(trained_surrogate, max_batch=4,
+                               max_delay_s=30.0, stats=stats)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            t0 = time.monotonic()
+            got, errors = run_members(batcher, [
+                lambda b, k=k: [b.evaluate(fills[(k + i) % len(fills)],
+                                           WEIGHTS).s_plan
+                                for i in range(5)]
+                for k in range(8)])
+            elapsed = time.monotonic() - t0
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert errors == [None] * 8
+        assert elapsed < 20.0
+        assert batcher._members == {} and batcher._held == 0
+        histogram = stats.snapshot()["batch_histogram"]
+        assert sum(int(k) * v for k, v in histogram.items()) == 8 * 5
+        assert "batch_flush_deadline" not in stats.snapshot()["counters"]
+        for k, values in enumerate(got):
+            for i, value in enumerate(values):
+                assert value == pytest.approx(trained_surrogate.evaluate(
+                    fills[(k + i) % len(fills)], WEIGHTS).s_plan, abs=1e-10)
+
+    def test_unregistered_caller_keeps_deadline(self, trained_surrogate,
+                                                fills):
+        stats = ServeStats()
+        batcher = MicroBatcher(trained_surrogate, max_batch=16,
+                               max_delay_s=0.2, stats=stats)
+        try:
+            t0 = time.monotonic()
+            batcher.evaluate(fills[0], WEIGHTS)
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert elapsed >= 0.2
+        assert stats.snapshot()["counters"] == {"batch_flush_deadline": 1}
+
+    def test_served_fill_does_not_wait_out_the_window(self, trained_surrogate,
+                                                      small_layout, tmp_path):
+        """A lone served PKB fill makes dozens of coalescible evaluations;
+        with a 10 s flush window it still completes within one window."""
+        from repro.layout.io import layout_to_dict
+        from repro.serve import FillServer, ModelRegistry, ServeConfig
+        from repro.serve.protocol import encode
+        from repro.surrogate import save_surrogate
+
+        checkpoint = save_surrogate(
+            tmp_path / "ckpt", trained_surrogate.unet,
+            trained_surrogate.normalizer, base_channels=6, depth=2)
+        registry = ModelRegistry()
+        registry.register("m", checkpoint)
+        server = FillServer(registry=registry, serve_config=ServeConfig(
+            workers=1, max_batch=16, flush_ms=10000.0))
+        server.start()
+        done = threading.Event()
+        replies = []
+
+        def reply(message):
+            replies.append(message)
+            if message.get("status") in ("done", "error", "timeout"):
+                done.set()
+
+        try:
+            t0 = time.monotonic()
+            server.handle_line(encode({
+                "op": "fill", "id": "f1",
+                "params": {"layout": layout_to_dict(small_layout),
+                           "method": "neurfill-pkb", "model": "m",
+                           "score": False}}), reply)
+            assert done.wait(10.0), "fill still running after one window"
+            elapsed = time.monotonic() - t0
+            assert replies[-1]["status"] == "done"
+            assert replies[-1]["result"]["evaluations"] > 10
+            counters = server.stats_snapshot()["counters"]
+            assert counters["batch_flush_idle"] > 10
+            assert "batch_flush_deadline" not in counters
+        finally:
+            server.shutdown(timeout=60.0)
+        assert elapsed < 10.0

@@ -19,6 +19,8 @@ from repro.layout.io import layout_to_dict
 from repro.serve import FillServer, ServeConfig, ServeStats, SimulateBatcher
 from repro.serve.protocol import encode
 
+from .test_batcher import run_members
+
 RESULT_FIELDS = ("height", "dishing", "erosion", "pressure", "step_height")
 
 
@@ -200,3 +202,86 @@ class TestServerSimulateCoalescing:
             assert sum(int(k) * v for k, v in histogram.items()) == 4
         finally:
             server.shutdown()
+
+
+class TestSimulateBatcherWorkConserving:
+    """The flush rule of the network batcher, on simulate jobs."""
+
+    def test_lone_member_flushes_at_once(self, feature_stacks):
+        sim = CmpSimulator()
+        stats = ServeStats()
+        batcher = SimulateBatcher(max_batch=16, max_delay_s=30.0,
+                                  stats=stats)
+        try:
+            t0 = time.monotonic()
+            with batcher.member():
+                res = batcher.simulate(feature_stacks[0], sim)
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert elapsed < 10.0
+        np.testing.assert_array_equal(
+            res.height, sim.simulate(feature_stacks[0]).height)
+        assert stats.snapshot()["counters"]["sim_flush_idle"] == 1
+
+    def test_two_members_coalesce(self, feature_stacks):
+        sim = CmpSimulator()
+        stats = ServeStats()
+        batcher = SimulateBatcher(max_batch=16, max_delay_s=30.0,
+                                  stats=stats)
+        try:
+            t0 = time.monotonic()
+            got, errors = run_members(batcher, [
+                lambda b, f=f: b.simulate(f, sim) for f in feature_stacks[:2]])
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert errors == [None, None]
+        assert elapsed < 10.0
+        snapshot = stats.snapshot()
+        assert snapshot["sim_batch_histogram"] == {"2": 1}
+        assert snapshot["counters"]["sim_flush_idle"] == 1
+        for features, res in zip(feature_stacks, got):
+            ref = sim.simulate(features)
+            for name in RESULT_FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(res, name), getattr(ref, name), err_msg=name)
+
+    def test_failed_member_releases_registration(self, feature_stacks):
+        class ExplodingSimulator:
+            params = DEFAULT_PROCESS
+            window_um = 100.0
+            dtype = None
+
+            def simulate(self, features):
+                raise RuntimeError("boom")
+
+        sim = CmpSimulator()
+        batcher = SimulateBatcher(max_batch=16, max_delay_s=30.0)
+        try:
+            _, errors = run_members(batcher, [
+                lambda b: b.simulate(feature_stacks[0], ExplodingSimulator())])
+            assert isinstance(errors[0], RuntimeError)
+            t0 = time.monotonic()
+            got, errors = run_members(batcher, [
+                lambda b: b.simulate(feature_stacks[1], sim)])
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert errors == [None]
+        assert elapsed < 10.0
+        np.testing.assert_array_equal(
+            got[0].height, sim.simulate(feature_stacks[1]).height)
+
+    def test_unregistered_caller_keeps_deadline(self, feature_stacks):
+        stats = ServeStats()
+        batcher = SimulateBatcher(max_batch=16, max_delay_s=0.2,
+                                  stats=stats)
+        try:
+            t0 = time.monotonic()
+            batcher.simulate(feature_stacks[0], CmpSimulator())
+            elapsed = time.monotonic() - t0
+        finally:
+            batcher.close()
+        assert elapsed >= 0.2
+        assert stats.snapshot()["counters"] == {"sim_flush_deadline": 1}
